@@ -155,7 +155,7 @@ func run() (err error) {
 			return err
 		}
 	case *opt.strategyName != "":
-		st, err := parseStrategy(*opt.strategyName)
+		st, err := core.ParseStrategyType(*opt.strategyName)
 		if err != nil {
 			return err
 		}
@@ -286,17 +286,4 @@ func writeManifest(path string, opt *options, g *graph.Graph, m core.Measure) er
 	man.Engine = &es
 	man.CaptureMem()
 	return man.WriteFile(path)
-}
-
-func parseStrategy(name string) (core.StrategyType, error) {
-	switch name {
-	case "multi-point":
-		return core.MultiPoint, nil
-	case "double-line":
-		return core.DoubleLine, nil
-	case "single-clique":
-		return core.SingleClique, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q", name)
-	}
 }

@@ -3,8 +3,6 @@ package main
 import (
 	"flag"
 	"testing"
-
-	"promonet/internal/core"
 )
 
 // TestFlagSurface pins promoctl's flag names: scripts (CI smoke,
@@ -33,29 +31,5 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("flag surface has %d flags, want %d: %v", len(got), len(want), got)
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want core.StrategyType
-		ok   bool
-	}{
-		{"multi-point", core.MultiPoint, true},
-		{"double-line", core.DoubleLine, true},
-		{"single-clique", core.SingleClique, true},
-		{"clique", 0, false},
-		{"", 0, false},
-	}
-	for _, tc := range cases {
-		got, err := parseStrategy(tc.in)
-		if (err == nil) != tc.ok {
-			t.Errorf("parseStrategy(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-			continue
-		}
-		if tc.ok && got != tc.want {
-			t.Errorf("parseStrategy(%q) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }

@@ -47,6 +47,16 @@ type Measure interface {
 	Principle() Principle
 	// Strategy is the principle-guided strategy type from Table I.
 	Strategy() StrategyType
+	// Kernel is the engine computation Scores runs; ok is false for
+	// measures the engine cannot score (current-flow).
+	Kernel() (k engine.Measure, ok bool)
+}
+
+// kernelScores scores g with m's engine kernel on the shared engine.
+// Only measures that have a kernel call it.
+func kernelScores(m Measure, g *graph.Graph) []float64 {
+	k, _ := m.Kernel()
+	return engine.Default().Scores(g, k)
 }
 
 // ReciprocalScorer is implemented by minimum-loss measures whose natural
@@ -71,15 +81,19 @@ type BetweennessMeasure struct {
 	Seed          int64
 }
 
-func (BetweennessMeasure) Name() string           { return "betweenness" }
-func (BetweennessMeasure) Short() string          { return "BC" }
-func (BetweennessMeasure) Principle() Principle   { return MaximumGain }
-func (BetweennessMeasure) Strategy() StrategyType { return MultiPoint }
-func (m BetweennessMeasure) Scores(g *graph.Graph) []float64 {
-	if m.SampleSources > 0 && m.SampleSources < g.N() {
-		return engine.Default().Scores(g, engine.BetweennessSampled(m.Counting, m.SampleSources, m.Seed))
+func (BetweennessMeasure) Name() string                      { return "betweenness" }
+func (BetweennessMeasure) Short() string                     { return "BC" }
+func (BetweennessMeasure) Principle() Principle              { return MaximumGain }
+func (BetweennessMeasure) Strategy() StrategyType            { return MultiPoint }
+func (m BetweennessMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+
+// Kernel is the pivot-sampled kernel when SampleSources > 0, which the
+// engine computes exactly on hosts of at most SampleSources nodes.
+func (m BetweennessMeasure) Kernel() (engine.Measure, bool) {
+	if m.SampleSources > 0 {
+		return engine.BetweennessSampled(m.Counting, m.SampleSources, m.Seed), true
 	}
-	return engine.Default().Scores(g, engine.Betweenness(m.Counting))
+	return engine.Betweenness(m.Counting), true
 }
 
 // --- Coreness ---
@@ -87,26 +101,24 @@ func (m BetweennessMeasure) Scores(g *graph.Graph) []float64 {
 // CorenessMeasure is RC (Definition 2.4).
 type CorenessMeasure struct{}
 
-func (CorenessMeasure) Name() string           { return "coreness" }
-func (CorenessMeasure) Short() string          { return "RC" }
-func (CorenessMeasure) Principle() Principle   { return MaximumGain }
-func (CorenessMeasure) Strategy() StrategyType { return SingleClique }
-func (CorenessMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Coreness())
-}
+func (CorenessMeasure) Name() string                      { return "coreness" }
+func (CorenessMeasure) Short() string                     { return "RC" }
+func (CorenessMeasure) Principle() Principle              { return MaximumGain }
+func (CorenessMeasure) Strategy() StrategyType            { return SingleClique }
+func (m CorenessMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (CorenessMeasure) Kernel() (engine.Measure, bool)    { return engine.Coreness(), true }
 
 // --- Closeness ---
 
 // ClosenessMeasure is CC (Definition 2.1).
 type ClosenessMeasure struct{}
 
-func (ClosenessMeasure) Name() string           { return "closeness" }
-func (ClosenessMeasure) Short() string          { return "CC" }
-func (ClosenessMeasure) Principle() Principle   { return MinimumLoss }
-func (ClosenessMeasure) Strategy() StrategyType { return MultiPoint }
-func (ClosenessMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Closeness())
-}
+func (ClosenessMeasure) Name() string                      { return "closeness" }
+func (ClosenessMeasure) Short() string                     { return "CC" }
+func (ClosenessMeasure) Principle() Principle              { return MinimumLoss }
+func (ClosenessMeasure) Strategy() StrategyType            { return MultiPoint }
+func (m ClosenessMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (ClosenessMeasure) Kernel() (engine.Measure, bool)    { return engine.Closeness(), true }
 
 // Reciprocals returns the farness ĈC(v) = Σ_u dist(v, u).
 func (ClosenessMeasure) Reciprocals(g *graph.Graph) []float64 {
@@ -118,13 +130,12 @@ func (ClosenessMeasure) Reciprocals(g *graph.Graph) []float64 {
 // EccentricityMeasure is EC (Definition 2.2).
 type EccentricityMeasure struct{}
 
-func (EccentricityMeasure) Name() string           { return "eccentricity" }
-func (EccentricityMeasure) Short() string          { return "EC" }
-func (EccentricityMeasure) Principle() Principle   { return MinimumLoss }
-func (EccentricityMeasure) Strategy() StrategyType { return DoubleLine }
-func (EccentricityMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Eccentricity())
-}
+func (EccentricityMeasure) Name() string                      { return "eccentricity" }
+func (EccentricityMeasure) Short() string                     { return "EC" }
+func (EccentricityMeasure) Principle() Principle              { return MinimumLoss }
+func (EccentricityMeasure) Strategy() StrategyType            { return DoubleLine }
+func (m EccentricityMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (EccentricityMeasure) Kernel() (engine.Measure, bool)    { return engine.Eccentricity(), true }
 
 // Reciprocals returns ĒC(v) = max_u dist(v, u).
 func (EccentricityMeasure) Reciprocals(g *graph.Graph) []float64 {
@@ -139,25 +150,23 @@ func (EccentricityMeasure) Reciprocals(g *graph.Graph) []float64 {
 // strategy maximizes the target's gain exactly as for closeness.
 type HarmonicMeasure struct{}
 
-func (HarmonicMeasure) Name() string           { return "harmonic" }
-func (HarmonicMeasure) Short() string          { return "HC" }
-func (HarmonicMeasure) Principle() Principle   { return MaximumGain }
-func (HarmonicMeasure) Strategy() StrategyType { return MultiPoint }
-func (HarmonicMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Harmonic())
-}
+func (HarmonicMeasure) Name() string                      { return "harmonic" }
+func (HarmonicMeasure) Short() string                     { return "HC" }
+func (HarmonicMeasure) Principle() Principle              { return MaximumGain }
+func (HarmonicMeasure) Strategy() StrategyType            { return MultiPoint }
+func (m HarmonicMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (HarmonicMeasure) Kernel() (engine.Measure, bool)    { return engine.Harmonic(), true }
 
 // DegreeMeasure is degree centrality. Trivially maximum-gain: only the
 // target's degree changes under multi-point insertion.
 type DegreeMeasure struct{}
 
-func (DegreeMeasure) Name() string           { return "degree" }
-func (DegreeMeasure) Short() string          { return "DC" }
-func (DegreeMeasure) Principle() Principle   { return MaximumGain }
-func (DegreeMeasure) Strategy() StrategyType { return MultiPoint }
-func (DegreeMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Degree())
-}
+func (DegreeMeasure) Name() string                      { return "degree" }
+func (DegreeMeasure) Short() string                     { return "DC" }
+func (DegreeMeasure) Principle() Principle              { return MaximumGain }
+func (DegreeMeasure) Strategy() StrategyType            { return MultiPoint }
+func (m DegreeMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (DegreeMeasure) Kernel() (engine.Measure, bool)    { return engine.Degree(), true }
 
 // KatzMeasure is Katz centrality [28] with the safe automatic damping of
 // centrality.KatzAuto. New walks created by appended nodes can only add
@@ -165,13 +174,12 @@ func (DegreeMeasure) Scores(g *graph.Graph) []float64 {
 // single-clique strategy concentrates the added walk mass on the target.
 type KatzMeasure struct{}
 
-func (KatzMeasure) Name() string           { return "katz" }
-func (KatzMeasure) Short() string          { return "KC" }
-func (KatzMeasure) Principle() Principle   { return MaximumGain }
-func (KatzMeasure) Strategy() StrategyType { return SingleClique }
-func (KatzMeasure) Scores(g *graph.Graph) []float64 {
-	return engine.Default().Scores(g, engine.Katz())
-}
+func (KatzMeasure) Name() string                      { return "katz" }
+func (KatzMeasure) Short() string                     { return "KC" }
+func (KatzMeasure) Principle() Principle              { return MaximumGain }
+func (KatzMeasure) Strategy() StrategyType            { return SingleClique }
+func (m KatzMeasure) Scores(g *graph.Graph) []float64 { return kernelScores(m, g) }
+func (KatzMeasure) Kernel() (engine.Measure, bool)    { return engine.Katz(), true }
 
 // CurrentFlowMeasure is current-flow (random-walk) betweenness [13],
 // the third Section VI-B extension. Pendant structures carry no transit
@@ -183,10 +191,11 @@ func (KatzMeasure) Scores(g *graph.Graph) []float64 {
 // connected graphs).
 type CurrentFlowMeasure struct{}
 
-func (CurrentFlowMeasure) Name() string           { return "current-flow" }
-func (CurrentFlowMeasure) Short() string          { return "CF" }
-func (CurrentFlowMeasure) Principle() Principle   { return MaximumGain }
-func (CurrentFlowMeasure) Strategy() StrategyType { return MultiPoint }
+func (CurrentFlowMeasure) Name() string                   { return "current-flow" }
+func (CurrentFlowMeasure) Short() string                  { return "CF" }
+func (CurrentFlowMeasure) Principle() Principle           { return MaximumGain }
+func (CurrentFlowMeasure) Strategy() StrategyType         { return MultiPoint }
+func (CurrentFlowMeasure) Kernel() (engine.Measure, bool) { return engine.Measure{}, false }
 func (CurrentFlowMeasure) Scores(g *graph.Graph) []float64 {
 	out, err := centrality.CurrentFlowBetweenness(g)
 	if err != nil {

@@ -51,6 +51,16 @@ func (t StrategyType) String() string {
 	}
 }
 
+// ParseStrategyType is the inverse of StrategyType.String.
+func ParseStrategyType(name string) (StrategyType, error) {
+	for _, t := range []StrategyType{MultiPoint, DoubleLine, SingleClique} {
+		if name == t.String() {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown strategy %q (want multi-point, double-line, or single-clique)", name)
+}
+
 // Strategy is the paper's promotion triple [target, promotion size,
 // type].
 type Strategy struct {

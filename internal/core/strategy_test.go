@@ -16,6 +16,19 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
+func TestParseStrategyType(t *testing.T) {
+	for _, want := range []StrategyType{MultiPoint, DoubleLine, SingleClique} {
+		if got, err := ParseStrategyType(want.String()); err != nil || got != want {
+			t.Errorf("ParseStrategyType(%q) = %v, %v; want %v", want.String(), got, err, want)
+		}
+	}
+	for _, bad := range []string{"clique", "", "Multi-Point", "StrategyType(3)"} {
+		if _, err := ParseStrategyType(bad); err == nil {
+			t.Errorf("ParseStrategyType(%q) accepted an unknown name", bad)
+		}
+	}
+}
+
 func TestStrategyValidate(t *testing.T) {
 	g := gen.Path(5)
 	cases := []struct {

@@ -2,18 +2,17 @@ package promod
 
 import (
 	"errors"
-	"strings"
 	"sync"
 
 	"promonet/internal/obs"
 )
 
 // coalescer is the daemon's single-flight layer: concurrent requests for
-// the same (snapshot-version, family, key) computation share one
-// execution, and completed results live in a bounded FIFO cache keyed by
-// the same string. Keys embed the pinned snapshot's version ("v17|…"),
-// so a result can never be served against the wrong host; a swap prunes
-// every superseded version's entries.
+// the same key share one execution, and completed results live in a
+// FIFO cache keyed by the same string. Every snapshot owns its
+// coalescers (one for measure standings, one for answers), so a result
+// can never be served against the wrong host and drops with the
+// snapshot it was computed on.
 //
 // This is what turns "thousands of clients ask about the same few
 // popular targets" from thousands of engine batches into one: the first
@@ -24,7 +23,7 @@ type coalescer struct {
 	flights   map[string]*flight
 	cache     map[string]any
 	order     []string // FIFO eviction order of cache keys
-	max       int
+	max       int      // cache bound; 0 means unbounded
 	coalesced *obs.Counter
 }
 
@@ -36,9 +35,6 @@ type flight struct {
 }
 
 func newCoalescer(maxEntries int, coalesced *obs.Counter) *coalescer {
-	if maxEntries <= 0 {
-		maxEntries = 4096
-	}
 	return &coalescer{
 		flights:   make(map[string]*flight),
 		cache:     make(map[string]any),
@@ -90,32 +86,13 @@ func (c *coalescer) insertLocked(key string, val any) {
 	if _, ok := c.cache[key]; ok {
 		return
 	}
-	for len(c.cache) >= c.max && len(c.order) > 0 {
+	for c.max > 0 && len(c.cache) >= c.max && len(c.order) > 0 {
 		old := c.order[0]
 		c.order = c.order[1:]
 		delete(c.cache, old)
 	}
 	c.cache[key] = val
 	c.order = append(c.order, key)
-}
-
-// prune drops every cached result except the given snapshot version's.
-// Called from the swap path: requests still in flight on an old snapshot
-// recompute on miss (correct, just uncached), while the new snapshot
-// starts with the full cache budget.
-func (c *coalescer) prune(keepVersion uint64) {
-	prefix := versionPrefix(keepVersion)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.order[:0]
-	for _, k := range c.order {
-		if strings.HasPrefix(k, prefix) {
-			kept = append(kept, k)
-		} else {
-			delete(c.cache, k)
-		}
-	}
-	c.order = kept
 }
 
 // size reports the number of cached entries (tests only).

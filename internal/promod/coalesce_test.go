@@ -62,9 +62,9 @@ func TestCoalescerErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestCoalescerEvictionAndPrune(t *testing.T) {
+func TestCoalescerEviction(t *testing.T) {
 	c := newCoalescer(2, obs.NewCounter())
-	for _, k := range []string{"v1|a", "v1|b", "v2|c"} {
+	for _, k := range []string{"a", "b", "c"} {
 		if _, err := c.do(k, func() (any, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -72,16 +72,17 @@ func TestCoalescerEvictionAndPrune(t *testing.T) {
 	if c.size() != 2 {
 		t.Errorf("cache size = %d, want 2 (FIFO eviction)", c.size())
 	}
-	c.prune(2)
-	if c.size() != 1 {
-		t.Errorf("after prune(2): size = %d, want 1 (only v2| keys survive)", c.size())
-	}
-	// The surviving entry must be the v2 one.
-	var recomputed bool
-	if _, err := c.do("v2|c", func() (any, error) { recomputed = true; return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if recomputed {
-		t.Error("prune dropped the current version's entry")
+	// The oldest entry went first; the newest must still be cached.
+	for _, tc := range []struct {
+		key    string
+		cached bool
+	}{{"c", true}, {"a", false}} {
+		recomputed := false
+		if _, err := c.do(tc.key, func() (any, error) { recomputed = true; return nil, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if recomputed == tc.cached {
+			t.Errorf("key %q: recomputed = %v, want cached = %v (FIFO order)", tc.key, recomputed, tc.cached)
+		}
 	}
 }

@@ -102,10 +102,11 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // promote answers one promotion query on the pinned snapshot. The whole
-// response is coalesced per (version, measure, target, size, type,
-// exact), so a burst of identical queries costs one computation.
+// response is coalesced per (measure, target, size, type, exact) in the
+// snapshot's answer cache, so a burst of identical queries costs one
+// computation.
 func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteResponse, int, error) {
-	spec, err := measureSpecByName(req.Measure)
+	m, err := servableMeasure(req.Measure)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -113,9 +114,9 @@ func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteRespon
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("promod: no node labeled %d in snapshot seq %d", req.Target, st.seq)
 	}
-	stype := spec.cm.Strategy()
+	stype := m.Strategy()
 	if req.Strategy != "" {
-		if stype, err = strategyTypeByName(req.Strategy); err != nil {
+		if stype, err = core.ParseStrategyType(req.Strategy); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
 	}
@@ -143,9 +144,9 @@ func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteRespon
 	}
 
 	strat := core.Strategy{Target: t, Size: p, Type: stype}
-	key := fmt.Sprintf("%spromote|%s|%d|%d|%d|%t", versionPrefix(st.version), spec.name, t, p, int(stype), req.Exact)
-	v, err := s.coal.do(key, func() (any, error) {
-		return s.buildPromoteResponse(st, spec, strat, req.Target, req.Exact)
+	key := fmt.Sprintf("%s|%d|%d|%d|%t", m.Name(), t, p, int(stype), req.Exact)
+	v, err := st.answers.do(key, func() (any, error) {
+		return s.buildPromoteResponse(st, m, strat, req.Target, req.Exact)
 	})
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
@@ -154,36 +155,32 @@ func (s *Server) promote(st *snapshotState, req *PromoteRequest) (*PromoteRespon
 }
 
 // buildPromoteResponse is the cache-miss path of promote.
-func (s *Server) buildPromoteResponse(st *snapshotState, spec measureSpec, strat core.Strategy, label int64, exact bool) (*PromoteResponse, error) {
-	ri, err := s.rankIndexFor(st, spec)
+func (s *Server) buildPromoteResponse(st *snapshotState, m core.Measure, strat core.Strategy, label int64, exact bool) (*PromoteResponse, error) {
+	sd, err := s.standing(st, m)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := s.predictWith(st, spec, strat, ri)
-	if err != nil {
-		return nil, err
-	}
+	pr := sd.Predict(st.view, strat)
 	resp := &PromoteResponse{
 		Target:         label,
-		Measure:        spec.name,
-		Principle:      spec.cm.Principle().String(),
+		Measure:        m.Name(),
+		Principle:      m.Principle().String(),
 		Strategy:       strat.Type.String(),
 		Size:           strat.Size,
 		EdgeCost:       strat.NumEdges(),
-		GuaranteedSize: pr.guaranteedSize,
-		ScoreBefore:    ri.scores[strat.Target],
-		RankBefore:     ri.rankOf(strat.Target),
-		PredictedRank:  pr.predictedRank,
-		PredictedDelta: pr.delta,
-		Mode:           pr.mode,
+		GuaranteedSize: pr.GuaranteedSize,
+		ScoreBefore:    sd.Score(strat.Target),
+		RankBefore:     pr.RankBefore,
+		PredictedRank:  pr.Rank,
+		PredictedDelta: pr.Delta,
+		Mode:           pr.Mode.String(),
 		Snapshot:       st.info(),
 	}
-	if !math.IsNaN(pr.predictedScore) {
-		ps := pr.predictedScore
-		resp.PredictedScore = &ps
+	if !math.IsNaN(pr.Score) {
+		resp.PredictedScore = &pr.Score
 	}
 	if exact {
-		eo, err := s.exactOutcome(st, spec, strat, ri)
+		eo, err := s.exactOutcome(st, m, strat, pr.RankBefore)
 		if err != nil {
 			return nil, err
 		}
@@ -191,10 +188,9 @@ func (s *Server) buildPromoteResponse(st *snapshotState, spec measureSpec, strat
 		resp.Mode = ModeExact
 		resp.PredictedRank = eo.RankAfter
 		resp.PredictedDelta = eo.DeltaRank
-		sa := eo.ScoreAfter
-		resp.PredictedScore = &sa
+		resp.PredictedScore = &eo.ScoreAfter
 	}
-	man := st.manifest(spec.name)
+	man := st.manifest(m.Name())
 	if _, err := man.Encode(); err != nil { // Encode validates; a response never carries an invalid manifest
 		return nil, err
 	}
@@ -220,18 +216,18 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.hLatency.Observe(time.Since(start)) }()
 
 	q := r.URL.Query()
-	spec, err := measureSpecByName(q.Get("measure"))
+	m, err := servableMeasure(q.Get("measure"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	st := s.state.Load()
-	ri, err := s.rankIndexFor(st, spec)
+	sd, err := s.standing(st, m)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := &ScoresResponse{Measure: spec.name, Snapshot: st.info()}
+	resp := &ScoresResponse{Measure: m.Name(), Snapshot: st.info()}
 	if raw := q.Get("labels"); raw != "" {
 		for _, fld := range strings.Split(raw, ",") {
 			label, err := strconv.ParseInt(strings.TrimSpace(fld), 10, 64)
@@ -244,7 +240,7 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
 				writeError(w, http.StatusNotFound, fmt.Sprintf("promod: no node labeled %d", label))
 				return
 			}
-			resp.Nodes = append(resp.Nodes, NodeScore{Label: label, Score: ri.scores[id], Rank: ri.rankOf(id)})
+			resp.Nodes = append(resp.Nodes, NodeScore{Label: label, Score: sd.Score(id), Rank: sd.Rank(id)})
 			if len(resp.Nodes) > 1000 {
 				writeError(w, http.StatusBadRequest, "too many labels (max 1000)")
 				return
@@ -263,14 +259,14 @@ func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
 	if topK > 1000 {
 		topK = 1000
 	}
-	if topK > len(ri.order) {
-		topK = len(ri.order)
+	if topK > st.n {
+		topK = st.n
 	}
 	for i := 0; i < topK; i++ {
-		id := int(ri.order[i])
-		resp.Top = append(resp.Top, NodeScore{Label: st.labelOf(id), Score: ri.scores[id], Rank: ri.rankOf(id)})
+		id := sd.Ordered(i)
+		resp.Top = append(resp.Top, NodeScore{Label: st.labelOf(id), Score: sd.Score(id), Rank: sd.Rank(id)})
 	}
-	sp.Str("measure", spec.name)
+	sp.Str("measure", m.Name())
 	writeJSON(w, http.StatusOK, resp)
 }
 

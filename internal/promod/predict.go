@@ -2,404 +2,71 @@ package promod
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"promonet/internal/centrality"
 	"promonet/internal/core"
-	"promonet/internal/engine"
 	"promonet/internal/graph"
 	"promonet/internal/graph/csr"
 )
 
-// measureSpec ties one servable centrality measure to its engine
-// kernel, its paper metadata (principle, Table I strategy), and the
-// prediction rule the daemon answers with.
-type measureSpec struct {
-	name string // canonical long name
-	em   engine.Measure
-	cm   core.Measure // principle + guided strategy + short name
-	kind predictKind
-}
-
-// predictKind selects the closed-form prediction rule for a measure.
-type predictKind int
-
-const (
-	// predictNone: no proved lemma (harmonic, Katz) — serve base
-	// standing only and suggest exact mode.
-	predictNone predictKind = iota
-	// predictDegree: exact closed form — the new degree is the old one
-	// plus the attached edges.
-	predictDegree
-	// predictBetweenness: Lemma 5.3 — multi-point overtakes v iff
-	// (p−1)² > BC(v) − BC(t).
-	predictBetweenness
-	// predictCoreness: Lemma 5.6 — single-clique overtakes v iff
-	// p > RC(v) + 1.
-	predictCoreness
-	// predictCloseness: Lemma 5.9 — multi-point overtakes v iff
-	// p > (ĈC(t) − ĈC(v)) / dist(v, t).
-	predictCloseness
-	// predictEccentricity: Lemma 5.12 — double-line overtakes every
-	// higher-ranked node iff p > 2·ĒC(t).
-	predictEccentricity
-)
-
-// measureSpecByName resolves a long or short measure name to its
-// serving spec, rejecting measures with no engine kernel.
-func measureSpecByName(name string) (measureSpec, error) {
-	cm, err := core.MeasureByName(name)
+// servableMeasure resolves a long or short measure name, rejecting
+// measures with no engine kernel.
+func servableMeasure(name string) (core.Measure, error) {
+	m, err := core.MeasureByName(name)
 	if err != nil {
-		return measureSpec{}, err
+		return nil, err
 	}
-	spec := measureSpec{name: cm.Name(), cm: cm}
-	switch cm.Name() {
-	case "betweenness":
-		spec.em, spec.kind = engine.Betweenness(centrality.PairsUnordered), predictBetweenness
-	case "coreness":
-		spec.em, spec.kind = engine.Coreness(), predictCoreness
-	case "closeness":
-		spec.em, spec.kind = engine.Closeness(), predictCloseness
-	case "eccentricity":
-		spec.em, spec.kind = engine.Eccentricity(), predictEccentricity
-	case "degree":
-		spec.em, spec.kind = engine.Degree(), predictDegree
-	case "harmonic":
-		spec.em, spec.kind = engine.Harmonic(), predictNone
-	case "katz":
-		spec.em, spec.kind = engine.Katz(), predictNone
-	default:
-		return measureSpec{}, fmt.Errorf("promod: measure %q has no serving kernel", cm.Name())
+	if _, ok := m.Kernel(); !ok {
+		return nil, fmt.Errorf("promod: measure %q has no serving kernel", m.Name())
 	}
-	return spec, nil
+	return m, nil
 }
 
-// strategyTypeByName parses a strategy-override string.
-func strategyTypeByName(name string) (core.StrategyType, error) {
-	switch name {
-	case "multi-point":
-		return core.MultiPoint, nil
-	case "double-line":
-		return core.DoubleLine, nil
-	case "single-clique":
-		return core.SingleClique, nil
-	default:
-		return 0, fmt.Errorf("promod: unknown strategy %q (want multi-point, double-line, or single-clique)", name)
-	}
-}
-
-// rankIndex is a score vector plus its descending sort, giving O(log n)
-// competition ranks and overtake counts and O(k) top-k listings. Built
-// once per (snapshot, measure) and shared by every request through the
-// coalescer.
-type rankIndex struct {
-	scores []float64 // by node ID
-	order  []int32   // node IDs by descending score, ties ascending ID
-	sorted []float64 // scores in order sequence (descending)
-}
-
-func buildRankIndex(scores []float64) *rankIndex {
-	order := make([]int32, len(scores))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := scores[order[i]], scores[order[j]]
-		if si != sj {
-			return si > sj
-		}
-		return order[i] < order[j]
-	})
-	sorted := make([]float64, len(scores))
-	for i, id := range order {
-		sorted[i] = scores[id]
-	}
-	return &rankIndex{scores: scores, order: order, sorted: sorted}
-}
-
-// countGreater returns #{v : score(v) > s}.
-func (ri *rankIndex) countGreater(s float64) int {
-	return sort.Search(len(ri.sorted), func(i int) bool { return ri.sorted[i] <= s })
-}
-
-// countGreaterEq returns #{v : score(v) ≥ s}.
-func (ri *rankIndex) countGreaterEq(s float64) int {
-	return sort.Search(len(ri.sorted), func(i int) bool { return ri.sorted[i] < s })
-}
-
-// rankOf returns v's competition rank (1 + strictly-greater count).
-func (ri *rankIndex) rankOf(v int) int { return 1 + ri.countGreater(ri.scores[v]) }
-
-// minAbove returns the smallest score strictly greater than s, or
-// ok=false when s is already the maximum.
-func (ri *rankIndex) minAbove(s float64) (float64, bool) {
-	cnt := ri.countGreater(s)
-	if cnt == 0 {
-		return 0, false
-	}
-	return ri.sorted[cnt-1], true
-}
-
-// versionPrefix is the coalescer key prefix pinning a result to one
-// snapshot version.
-func versionPrefix(version uint64) string { return fmt.Sprintf("v%d|", version) }
-
-// scoresFor returns the measure's base score vector on the pinned
-// snapshot, computed once per (version, measure) across all requests.
-func (s *Server) scoresFor(st *snapshotState, spec measureSpec) ([]float64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"scores|"+spec.em.Key(), func() (any, error) {
-		return s.eng.Scores(st.view, spec.em), nil
+// standing returns m's standing on the pinned snapshot: derived once on
+// first use, shared by every request on that snapshot, and dropped with
+// it. Answer evictions never touch it.
+func (s *Server) standing(st *snapshotState, m core.Measure) (*core.Standing, error) {
+	v, err := st.standings.do(m.Name(), func() (any, error) {
+		return core.NewStanding(s.eng, st.view, m)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]float64), nil
-}
-
-// rankIndexFor returns the measure's rank index on the pinned snapshot.
-func (s *Server) rankIndexFor(st *snapshotState, spec measureSpec) (*rankIndex, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"rank|"+spec.em.Key(), func() (any, error) {
-		scores, err := s.scoresFor(st, spec)
-		if err != nil {
-			return nil, err
-		}
-		return buildRankIndex(scores), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*rankIndex), nil
-}
-
-// farnessFor returns the integer farness vector (closeness bounds work
-// in farness space).
-func (s *Server) farnessFor(st *snapshotState) ([]int64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"farness", func() (any, error) {
-		return s.eng.FarnessInt64(st.view), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int64), nil
-}
-
-// recipEccFor returns the reciprocal-eccentricity vector ĒC (max BFS
-// distance per node).
-func (s *Server) recipEccFor(st *snapshotState) ([]float64, error) {
-	v, err := s.coal.do(versionPrefix(st.version)+"recip-ecc", func() (any, error) {
-		return s.eng.Scores(st.view, engine.ReciprocalEccentricity()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]float64), nil
-}
-
-// distancesFor returns BFS hop distances from t on the pinned snapshot.
-func (s *Server) distancesFor(st *snapshotState, t int) ([]int32, error) {
-	v, err := s.coal.do(fmt.Sprintf("%sdist|%d", versionPrefix(st.version), t), func() (any, error) {
-		return centrality.Distances(st.view, t), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]int32), nil
-}
-
-// prediction is the outcome of the closed-form rules for one strategy.
-type prediction struct {
-	mode           string
-	predictedScore float64 // NaN when no closed form exists
-	predictedRank  int
-	delta          int
-	guaranteedSize int
-}
-
-// sizeFromBound converts a real-valued p′ bound into the smallest
-// integer size strictly exceeding it (mirrors core's finishBound).
-func sizeFromBound(bound float64) int {
-	if math.IsInf(bound, 1) || math.IsNaN(bound) {
-		return 0
-	}
-	p := int(math.Floor(bound)) + 1
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// predictWith evaluates the paper's closed-form rules for strat on the
-// pinned snapshot. Under ModeGuaranteed the returned delta is a provable
-// lower bound on the rank improvement; under ModeClosedForm it is exact;
-// under ModeNone no prediction applies (the caller reports base standing
-// only). Guided means strat.Type matches Table I for the measure —
-// overridden strategies void the lemma.
-func (s *Server) predictWith(st *snapshotState, spec measureSpec, strat core.Strategy, ri *rankIndex) (prediction, error) {
-	t, p := strat.Target, strat.Size
-	sT := ri.scores[t]
-	rankBefore := ri.rankOf(t)
-	pr := prediction{mode: ModeNone, predictedScore: math.NaN(), predictedRank: rankBefore}
-	guided := strat.Type == spec.cm.Strategy()
-
-	switch spec.kind {
-	case predictDegree:
-		// Exact closed form for every strategy type: the target's new
-		// degree is its old degree plus the edges attached to it, and no
-		// original node's degree changes. Inserted nodes never score
-		// strictly above the target (their degree is at most p ≤ sT+p).
-		attached := p
-		if strat.Type == core.DoubleLine && p > 1 {
-			attached = 2
-		}
-		after := sT + float64(attached)
-		newRank := 1 + ri.countGreater(after)
-		pr.mode = ModeClosedForm
-		pr.predictedScore = after
-		pr.predictedRank = newRank
-		pr.delta = rankBefore - newRank
-		if above, ok := ri.minAbove(sT); ok && strat.Type != core.DoubleLine {
-			// p attached edges lift the score by p; the smallest
-			// improving size strictly exceeds the gap to the next score.
-			pr.guaranteedSize = sizeFromBound(above - sT)
-		}
-
-	case predictBetweenness:
-		if !guided {
-			break
-		}
-		gain := float64(p-1) * float64(p-1)
-		over := ri.countGreater(sT) - ri.countGreaterEq(sT+gain)
-		if over < 0 {
-			over = 0
-		}
-		pr.mode = ModeGuaranteed
-		pr.delta = over
-		pr.predictedRank = rankBefore - over
-		if above, ok := ri.minAbove(sT); ok {
-			pr.guaranteedSize = sizeFromBound(core.BoostSizeBetweenness(sT, above))
-		}
-
-	case predictCoreness:
-		if !guided {
-			break
-		}
-		// Single-clique overtakes v iff p > RC(v)+1, i.e. RC(v) < p−1.
-		over := ri.countGreater(sT) - ri.countGreaterEq(float64(p-1))
-		if over < 0 {
-			over = 0
-		}
-		pr.mode = ModeGuaranteed
-		pr.delta = over
-		pr.predictedRank = rankBefore - over
-		if above, ok := ri.minAbove(sT); ok {
-			pr.guaranteedSize = sizeFromBound(core.BoostSizeCoreness(int(above)))
-		}
-
-	case predictCloseness:
-		if !guided {
-			break
-		}
-		far, err := s.farnessFor(st)
-		if err != nil {
-			return pr, err
-		}
-		dist, err := s.distancesFor(st, t)
-		if err != nil {
-			return pr, err
-		}
-		over := 0
-		best := math.Inf(1)
-		for v := range far {
-			if v == t || far[v] >= far[t] || dist[v] <= 0 {
-				continue
-			}
-			bound := core.BoostSizeCloseness(far[t], far[v], int(dist[v]))
-			if float64(p) > bound {
-				over++
-			}
-			if bound < best {
-				best = bound
-			}
-		}
-		pr.mode = ModeGuaranteed
-		pr.delta = over
-		pr.predictedRank = rankBefore - over
-		pr.guaranteedSize = sizeFromBound(best)
-
-	case predictEccentricity:
-		if !guided {
-			break
-		}
-		recip, err := s.recipEccFor(st)
-		if err != nil {
-			return pr, err
-		}
-		hasHigher := false
-		for v := range recip {
-			if recip[v] < recip[t] && recip[v] > 0 {
-				hasHigher = true
-				break
-			}
-		}
-		if !hasHigher {
-			pr.mode = ModeGuaranteed
-			break // already top-ranked among comparable nodes
-		}
-		bound := core.BoostSizeEccentricity(int(recip[t]))
-		pr.mode = ModeGuaranteed
-		pr.guaranteedSize = sizeFromBound(bound)
-		if float64(p) > bound {
-			// Lemma 5.12: the double line pushes t's eccentricity below
-			// every node's, overtaking the whole field above it.
-			pr.delta = rankBefore - 1
-			pr.predictedRank = 1
-		}
-	}
-	return pr, nil
+	return v.(*core.Standing), nil
 }
 
 // exactOutcome applies the strategy to a private copy of the pinned
-// host and rescoring it with the engine — the measured ground truth the
+// host and rescores it with the engine — the measured ground truth the
 // predictions bound. On the csr backend the copy is a csr.Overlay (a
 // few touched rows, not a host clone); on the map backend it is a full
 // materialized clone.
-func (s *Server) exactOutcome(st *snapshotState, spec measureSpec, strat core.Strategy, ri *rankIndex) (*ExactOutcome, error) {
-	key := fmt.Sprintf("%sexact|%s|%d|%d|%d", versionPrefix(st.version), spec.em.Key(), strat.Target, strat.Size, int(strat.Type))
-	v, err := s.coal.do(key, func() (any, error) {
-		var after []float64
-		var inserted []int
-		var applyErr error
-		if st.snap != nil {
-			ov := csr.NewOverlay(st.snap)
-			inserted, applyErr = strat.ApplyTo(ov)
-			if applyErr == nil {
-				after = s.eng.Scores(ov, spec.em)
-			}
-		} else {
-			g2 := graph.Materialize(st.g)
-			inserted, applyErr = strat.ApplyTo(g2)
-			if applyErr == nil {
-				after = s.eng.Scores(g2, spec.em)
-			}
+func (s *Server) exactOutcome(st *snapshotState, m core.Measure, strat core.Strategy, rankBefore int) (*ExactOutcome, error) {
+	k, _ := m.Kernel() // servableMeasure admitted m, so it has one
+	var after []float64
+	var inserted []int
+	var err error
+	if st.snap != nil {
+		ov := csr.NewOverlay(st.snap)
+		if inserted, err = strat.ApplyTo(ov); err == nil {
+			after = s.eng.Scores(ov, k)
 		}
-		if applyErr != nil {
-			return nil, applyErr
+	} else {
+		g2 := graph.Materialize(st.g)
+		if inserted, err = strat.ApplyTo(g2); err == nil {
+			after = s.eng.Scores(g2, k)
 		}
-		rankBefore := ri.rankOf(strat.Target)
-		rankAfter := centrality.RankOf(after, strat.Target)
-		delta := rankBefore - rankAfter
-		return &ExactOutcome{
-			ScoreAfter: after[strat.Target],
-			RankAfter:  rankAfter,
-			DeltaRank:  delta,
-			Ratio:      centrality.Ratio(delta, st.n),
-			Effective:  delta > 0,
-			Inserted:   len(inserted),
-		}, nil
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
-	return v.(*ExactOutcome), nil
+	rankAfter := centrality.RankOf(after, strat.Target)
+	delta := rankBefore - rankAfter
+	return &ExactOutcome{
+		ScoreAfter: after[strat.Target],
+		RankAfter:  rankAfter,
+		DeltaRank:  delta,
+		Ratio:      centrality.Ratio(delta, st.n),
+		Effective:  delta > 0,
+		Inserted:   len(inserted),
+	}, nil
 }

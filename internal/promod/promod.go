@@ -11,17 +11,24 @@
 //	            shedding 429 + Retry-After under backpressure)
 //	→ snapshot pin (one atomic load; the request computes against that
 //	                snapshot even if a reload swaps a new one in)
-//	→ coalescing (single-flight per (snapshot-version, family, key):
-//	              concurrent identical queries share one engine batch,
-//	              completed ones are served from a bounded cache)
+//	→ coalescing (single-flight per (measure, target, size, type,
+//	              exact) on the pinned snapshot: concurrent identical
+//	              queries share one computation, completed ones are
+//	              served from the snapshot's bounded answer cache)
 //	→ response (strategy, p, p′ guaranteed size, predicted rank delta,
 //	            and a self-validating obs.Manifest carrying the pinned
 //	            snapshot's digest)
 //
 // Promotion answers are predicted from the paper's closed-form p′
-// bounds (Lemmas 5.3–5.12) over the memoized base score vectors, so the
-// steady-state cost of a query is a cache lookup — that is what makes
-// thousands of requests per second against a 10⁶-node host feasible.
+// bounds (Lemmas 5.3–5.12) by core.Standing, the one implementation
+// the CLI and the experiments use too. Each snapshot derives one
+// standing per measure (scores, rank order, farness or ĒC) on first
+// use and keeps it for its lifetime, next to its answer cache; both
+// drop with the snapshot, so there is no version prefix and nothing to
+// prune on a swap, and evicting answers never evicts a standing. The
+// steady-state cost of a query is a cache lookup or an O(log n) lemma
+// evaluation — that is what makes thousands of requests per second
+// against a 10⁶-node host feasible.
 // Exact rescoring (apply the strategy on a csr.Overlay, re-run the
 // engine) is available behind "exact": true, guarded by a host-size
 // limit so one request cannot monopolize the daemon.
@@ -144,8 +151,9 @@ type Config struct {
 	// Engine is the execution engine queries score through; nil means
 	// engine.Default().
 	Engine *engine.Engine
-	// CacheEntries bounds the coalescer's completed-result cache; 0
-	// means 4096 entries.
+	// CacheEntries bounds each snapshot's answer cache; 0 means 4096
+	// entries. Two snapshots hold answers at once while requests
+	// pinned to the old one finish after a swap.
 	CacheEntries int
 }
 
@@ -158,18 +166,18 @@ type Server struct {
 	state atomic.Pointer[snapshotState]
 	seq   atomic.Uint64
 
-	coal *coalescer
-	adm  *admission
+	adm *admission
 
 	reloadMu sync.Mutex
 	httpSrv  *http.Server
 	ln       net.Listener
 	started  time.Time
 
-	mRequests *obs.Counter
-	mShed     *obs.Counter
-	mSwaps    *obs.Counter
-	hLatency  *obs.Histogram
+	mRequests  *obs.Counter
+	mShed      *obs.Counter
+	mSwaps     *obs.Counter
+	mCoalesced *obs.Counter
+	hLatency   *obs.Histogram
 }
 
 // New builds a Server and performs the initial host load + freeze
@@ -187,17 +195,20 @@ func New(cfg Config) (*Server, error) {
 	if eng == nil {
 		eng = engine.Default()
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 4096
+	}
 	reg := obs.Default()
 	s := &Server{
-		cfg:       cfg,
-		eng:       eng,
-		started:   time.Now(),
-		mRequests: reg.Counter("promod.requests"),
-		mShed:     reg.Counter("promod.shed"),
-		mSwaps:    reg.Counter("promod.swaps"),
-		hLatency:  reg.Histogram("promod.latency"),
+		cfg:        cfg,
+		eng:        eng,
+		started:    time.Now(),
+		mRequests:  reg.Counter("promod.requests"),
+		mShed:      reg.Counter("promod.shed"),
+		mSwaps:     reg.Counter("promod.swaps"),
+		mCoalesced: reg.Counter("promod.coalesced"),
+		hLatency:   reg.Histogram("promod.latency"),
 	}
-	s.coal = newCoalescer(cfg.CacheEntries, reg.Counter("promod.coalesced"))
 	s.adm = newAdmission(cfg.Admission, s.mShed, reg.Gauge("promod.inflight"))
 	if _, err := s.Reload(); err != nil {
 		return nil, fmt.Errorf("promod: initial load: %w", err)
@@ -227,11 +238,10 @@ func (s *Server) Reload() (SnapshotInfo, error) {
 	sp.Int("n", st.n)
 	sp.Int("m", st.m)
 	sp.Int64("seq", int64(st.seq))
+	// The superseded snapshot's standings and answers stay with it:
+	// requests pinned to it finish against them, and they drop when
+	// the last of those requests does.
 	s.state.Store(st)
-	// Drop cached results of superseded snapshots; in-flight requests
-	// pinned to an old snapshot recompute on miss, which is correct,
-	// just no longer cached.
-	s.coal.prune(st.version)
 	s.mSwaps.Inc()
 	return st.info(), nil
 }

@@ -11,11 +11,13 @@ import (
 )
 
 // snapshotState is one installed host snapshot plus everything a request
-// derives from it: the serving view, the label↔ID mapping, and the
-// lazily memoized content digest. States are immutable after buildState
-// returns; the swap protocol only ever replaces the whole pointer, so a
-// request that loaded the pointer once computes against a consistent
-// host no matter how many reloads land while it runs.
+// derives from it: the serving view, the label↔ID mapping, the lazily
+// memoized content digest, each measure's standing and the cached
+// answers. The host fields are immutable after buildState returns; the
+// swap protocol only ever replaces the whole pointer, so a request that
+// loaded the pointer once computes against a consistent host no matter
+// how many reloads land while it runs, and the derived state drops with
+// the snapshot once the last such request finishes.
 type snapshotState struct {
 	view    graph.View
 	snap    *csr.Snapshot // non-nil on the csr backend
@@ -25,12 +27,16 @@ type snapshotState struct {
 	name    string
 	backend string
 	n, m    int
-	version uint64
 	seq     uint64
 	loaded  time.Time
 
 	digestOnce sync.Once
 	digest     string
+
+	// standings holds one *core.Standing per servable measure, keyed
+	// by the measure's long name; answers holds *PromoteResponse
+	// values, bounded by Config.CacheEntries.
+	standings, answers *coalescer
 }
 
 // buildState freezes (or adopts) a freshly loaded host into serving
@@ -47,17 +53,18 @@ func (s *Server) buildState(g *graph.Graph, labels []int64) (*snapshotState, err
 		m:      g.M(),
 		seq:    s.seq.Add(1),
 		loaded: time.Now(),
+
+		standings: newCoalescer(0, s.mCoalesced),
+		answers:   newCoalescer(s.cfg.CacheEntries, s.mCoalesced),
 	}
 	if s.cfg.Backend == "map" {
 		st.backend = "map"
 		st.g = g
 		st.view = g
-		st.version = g.Version()
 	} else {
 		st.backend = "csr"
 		st.snap = csr.Freeze(g)
 		st.view = st.snap
-		st.version = st.snap.Version()
 	}
 	if labels != nil {
 		idx := make(map[int64]int, len(labels))

@@ -22,6 +22,12 @@ fi
 step "go vet ./..."
 go vet ./...
 
+step "benchmark module (_promodbench: go vet + go test)"
+# _promodbench is its own Go module (replace promonet => ../), so
+# ./... never builds it; an internal API change could otherwise break
+# the benchmark with every other gate green.
+(cd _promodbench && go vet ./... && go test ./...)
+
 step "go build ./... (default and promodebug)"
 go build ./...
 go build -tags promodebug ./...
