@@ -24,30 +24,6 @@ import (
 	"promonet/internal/obs"
 )
 
-// engineMeasure maps a CLI measure name to the engine.Measure the CSR
-// backend scores with. Current-flow betweenness is the one measure with
-// no engine kind (its electrical solver works on the map backend only).
-func engineMeasure(name string) (engine.Measure, error) {
-	switch name {
-	case "betweenness", "BC":
-		return engine.Betweenness(centrality.PairsUnordered), nil
-	case "coreness", "RC":
-		return engine.Coreness(), nil
-	case "closeness", "CC":
-		return engine.Closeness(), nil
-	case "eccentricity", "EC":
-		return engine.Eccentricity(), nil
-	case "harmonic", "HC":
-		return engine.Harmonic(), nil
-	case "degree", "DC":
-		return engine.Degree(), nil
-	case "katz", "KC":
-		return engine.Katz(), nil
-	default:
-		return engine.Measure{}, fmt.Errorf("measure %q has no csr backend (use -backend map)", name)
-	}
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "centrality:", err)
@@ -141,13 +117,13 @@ func run() (err error) {
 	case "map":
 		scores = m.Scores(g)
 	case "csr":
-		em, err := engineMeasure(*opt.measureName)
-		if err != nil {
-			return err
+		kernel, ok := m.Kernel()
+		if !ok {
+			return fmt.Errorf("measure %q has no csr backend (use -backend map)", *opt.measureName)
 		}
 		snap := csr.Freeze(g)
 		scored = snap
-		scores = engine.Default().Scores(snap, em)
+		scores = engine.Default().Scores(snap, kernel)
 	default:
 		return fmt.Errorf("-backend must be map or csr, got %q", *opt.backend)
 	}

@@ -1,20 +1,18 @@
 // Command promolint runs promonet's custom static-analysis suite (see
-// internal/lint): sixteen analyzers enforcing the repo-specific
+// internal/lint): thirteen analyzers enforcing the repo-specific
 // invariants that generic tooling cannot know about — the black-box
 // read-only contract on the host graph, seeded-randomness and
-// map-iteration determinism, goroutine fan-out hygiene, error
-// discipline in the CLI and IO layers, doc coverage of the core
-// exported API, the CFG/dataflow properties the execution engine
-// depends on (version stamping of graph mutations, engine routing of
-// heavy kernels, sync.Pool get/put balance, mutex acquisition order),
-// the value-flow invariants of the observability and kernel layers
-// (obs span lifecycle, the allocation-free discipline of
-// //promolint:hotpath-marked hot code, all-or-nothing sync/atomic
-// access per variable, the nil-safe method contract of nil-receiver
-// types like *obs.Span), and the interprocedural contracts built on
-// the summary engine: no write or unsafe retention of frozen
-// graph.View adjacency arrays, goroutine termination and WaitGroup
-// join discipline, and CSR snapshot/overlay aliasing safety.
+// map-iteration determinism, error discipline in the CLI and IO
+// layers, doc coverage of the core exported API, the CFG/dataflow
+// properties the execution engine depends on (version stamping of
+// graph mutations, engine routing of heavy kernels, sync.Pool get/put
+// balance, mutex acquisition order), the value-flow invariants of the
+// observability and kernel layers (obs span lifecycle and the
+// allocation-free discipline of //promolint:hotpath-marked hot code),
+// and the interprocedural contracts built on the summary engine: no
+// write or unsafe retention of frozen graph.View adjacency arrays,
+// goroutine termination and WaitGroup join discipline, and CSR
+// snapshot/overlay aliasing safety.
 //
 // Packages fan out over a bounded worker pool (-workers, default
 // GOMAXPROCS); findings and the JSON report are byte-identical at any

@@ -75,11 +75,9 @@ func repoGoFiles(t testing.TB) []string {
 }
 
 // FuzzCFGValueFlow drives arbitrary (possibly ill-typed) Go source
-// through the full value-flow stack — CFG construction, reaching
-// definitions, def-use inversion, allocation classification, escape
-// classification — asserting that nothing panics, the fixpoint
-// terminates, and the solution is internally consistent: every
-// reaching def of a use is a def of that use's object.
+// through the full value-flow stack — CFG construction, allocation
+// classification, escape classification — asserting that nothing
+// panics and every CFG keeps its entry/exit shape.
 func FuzzCFGValueFlow(f *testing.F) {
 	for _, src := range repoGoFiles(f) {
 		f.Add(src)
@@ -105,24 +103,10 @@ func FuzzCFGValueFlow(f *testing.F) {
 		cg := NewCallGraph(info, []*ast.File{file})
 		MayAlloc(info, cg)
 
-		check := func(params []*ast.Ident, body *ast.BlockStmt) {
+		check := func(body *ast.BlockStmt) {
 			cfg := New(body, info)
 			if len(cfg.Blocks) < 2 || cfg.Blocks[1] != cfg.Exit {
 				t.Fatalf("CFG shape broken: %d blocks", len(cfg.Blocks))
-			}
-			rd := NewReachingDefs(cfg, info, params, body)
-			du := NewDefUse(rd)
-			for _, use := range rd.TrackedUses() {
-				obj := info.Uses[use]
-				for _, d := range rd.At(use) {
-					if d.Obj != obj {
-						t.Fatalf("use %q at %v reached by def of %q",
-							use.Name, fset.Position(use.Pos()), d.Obj.Name())
-					}
-				}
-			}
-			for _, d := range rd.Defs {
-				_ = du.Uses(d)
 			}
 			AllocSites(info, body)
 			Escapes(info, body)
@@ -132,10 +116,10 @@ func FuzzCFGValueFlow(f *testing.F) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			check(ParamIdents(fd.Recv, fd.Type), fd.Body)
+			check(fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-					check(ParamIdents(nil, lit.Type), lit.Body)
+					check(lit.Body)
 				}
 				return true
 			})

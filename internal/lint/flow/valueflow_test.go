@@ -1,169 +1,6 @@
 package flow
 
-import (
-	"go/ast"
-	"go/types"
-	"testing"
-)
-
-// rdFor builds and solves reaching defs for fname in src.
-func rdFor(t *testing.T, src, fname string) (*ReachingDefs, *ast.FuncDecl, *types.Info) {
-	t.Helper()
-	cfg, fd, info := buildFunc(t, src, fname)
-	rd := NewReachingDefs(cfg, info, ParamIdents(fd.Recv, fd.Type), fd.Body)
-	return rd, fd, info
-}
-
-// useIdent finds the n-th tracked-use occurrence (0-based) of name
-// inside fd — write-only LHS occurrences are not uses and don't count.
-func useIdent(t *testing.T, rd *ReachingDefs, name string, n int) *ast.Ident {
-	t.Helper()
-	count := 0
-	for _, id := range rd.TrackedUses() {
-		if id.Name == name {
-			if count == n {
-				return id
-			}
-			count++
-		}
-	}
-	t.Fatalf("tracked use #%d of %q not found", n, name)
-	return nil
-}
-
-func TestReachingDefsKillsOnReassign(t *testing.T) {
-	rd, _, _ := rdFor(t, `package fixture
-func f() int {
-	x := 1
-	x = 2
-	return x
-}
-`, "f")
-	use := useIdent(t, rd, "x", 0) // the `return x` occurrence
-	defs := rd.At(use)
-	if len(defs) != 1 {
-		t.Fatalf("want exactly the second def reaching the return, got %d defs", len(defs))
-	}
-	if _, ok := defs[0].Node.(*ast.AssignStmt); !ok {
-		t.Fatalf("reaching def is not the assignment: %T", defs[0].Node)
-	}
-}
-
-func TestReachingDefsJoinsBranches(t *testing.T) {
-	rd, _, _ := rdFor(t, `package fixture
-func f(c bool) int {
-	x := 0
-	if c {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}
-`, "f")
-	use := useIdent(t, rd, "x", 0)
-	if got := len(rd.At(use)); got != 2 {
-		t.Fatalf("return should see both branch defs (and not the killed initial one), got %d", got)
-	}
-}
-
-func TestReachingDefsLoopCarried(t *testing.T) {
-	rd, _, _ := rdFor(t, `package fixture
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		s = s + i
-	}
-	return s
-}
-`, "f")
-	// The `s` read inside the loop body (s = s + i, RHS occurrence) sees
-	// both the initial def and the loop-carried one.
-	use := useIdent(t, rd, "s", 0)
-	if got := len(rd.At(use)); got != 2 {
-		t.Fatalf("loop body read of s should see initial + loop-carried defs, got %d", got)
-	}
-}
-
-func TestReachingDefsRHSSeesOldValue(t *testing.T) {
-	rd, _, _ := rdFor(t, `package fixture
-func f() int {
-	x := 1
-	x = x + 1
-	return x
-}
-`, "f")
-	// In `x = x + 1` the RHS x must see only the := def, not the
-	// assignment it feeds.
-	use := useIdent(t, rd, "x", 0)
-	defs := rd.At(use)
-	if len(defs) != 1 {
-		t.Fatalf("RHS of x = x+1 should see exactly the := def, got %d", len(defs))
-	}
-	if a, ok := defs[0].Node.(*ast.AssignStmt); !ok || len(a.Rhs) != 1 {
-		t.Fatalf("unexpected def node %T", defs[0].Node)
-	}
-	if _, ok := defs[0].Node.(*ast.AssignStmt); ok {
-		if defs[0].Node.(*ast.AssignStmt).Tok.String() != ":=" {
-			t.Fatalf("RHS use reached by %s def, want :=", defs[0].Node.(*ast.AssignStmt).Tok)
-		}
-	}
-}
-
-func TestReachingDefsParamsAndRange(t *testing.T) {
-	rd, _, _ := rdFor(t, `package fixture
-func f(xs []int) int {
-	s := 0
-	for _, v := range xs {
-		s += v
-	}
-	return s
-}
-`, "f")
-	vUse := useIdent(t, rd, "v", 0)
-	defs := rd.At(vUse)
-	if len(defs) != 1 {
-		t.Fatalf("range value use should see the range binding, got %d defs", len(defs))
-	}
-	if _, ok := defs[0].Node.(*ast.RangeStmt); !ok {
-		t.Fatalf("def node is %T, want *ast.RangeStmt", defs[0].Node)
-	}
-	xsUse := useIdent(t, rd, "xs", 0)
-	xsDefs := rd.At(xsUse)
-	if len(xsDefs) != 1 || !xsDefs[0].Entry {
-		t.Fatalf("xs use should see exactly the entry (parameter) def, got %+v", xsDefs)
-	}
-}
-
-func TestDefUseChains(t *testing.T) {
-	rd, _, info := rdFor(t, `package fixture
-func f(c bool) int {
-	x := 1
-	if c {
-		return x
-	}
-	x = 2
-	return x
-}
-`, "f")
-	du := NewDefUse(rd)
-	obj := info.Uses[useIdent(t, rd, "x", 0)]
-	defs := rd.DefsOf(obj)
-	if len(defs) != 2 {
-		t.Fatalf("x has %d defs, want 2", len(defs))
-	}
-	// The := def reaches only the first return; the = def only the
-	// second.
-	if got := len(du.Uses(defs[0])); got != 1 {
-		t.Errorf(":= def reaches %d uses, want 1", got)
-	}
-	if got := len(du.Uses(defs[1])); got != 1 {
-		t.Errorf("= def reaches %d uses, want 1", got)
-	}
-	if len(du.Dead()) != 0 {
-		t.Errorf("no def is dead here, got %d", len(du.Dead()))
-	}
-}
+import "testing"
 
 func TestAllocSitesKinds(t *testing.T) {
 	_, fd, info := buildFunc(t, `package fixture

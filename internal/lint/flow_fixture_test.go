@@ -452,12 +452,12 @@ func TestSeverities(t *testing.T) {
 
 func TestAnalyzerCount(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 16 {
+	if len(as) != 13 {
 		names := make([]string, len(as))
 		for i, a := range as {
 			names[i] = a.Name
 		}
-		t.Fatalf("Analyzers() = %d analyzers %v, want 16", len(as), names)
+		t.Fatalf("Analyzers() = %d analyzers %v, want 13", len(as), names)
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {

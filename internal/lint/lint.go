@@ -76,16 +76,15 @@ func (a *Analyzer) severity() Severity {
 	return a.Severity
 }
 
-// Analyzers returns the full suite in stable order: the five syntactic
+// Analyzers returns the full suite in stable order: the four syntactic
 // analyzers from the first generation, then the four CFG/dataflow
-// analyzers built on internal/lint/flow, then the four value-flow
-// analyzers built on its reaching-defs/escape layer, then the three
+// analyzers built on internal/lint/flow, then the two value-flow
+// analyzers built on its allocation/escape layer, then the three
 // interprocedural analyzers built on its summary engine.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		mutationSafety,
 		determinism,
-		concurrency,
 		ignoredErrors,
 		exportedDocs,
 		versionStamp,
@@ -94,8 +93,6 @@ func Analyzers() []*Analyzer {
 		lockOrder,
 		spanHygiene,
 		hotpathAlloc,
-		atomicConsistency,
-		nilReceiver,
 		viewImmutability,
 		goroutineLifecycle,
 		snapshotAliasing,

@@ -81,45 +81,6 @@ func GoodRead(g *graph.Graph) bool { return g.HasEdge(0, 1) }
 func AllowedMutate(g *graph.Graph) { g.AddNodes(3) }
 `,
 
-		// concurrency: captured-map write + Add-in-loop positives,
-		// partitioned-slice negative.
-		"internal/centrality/conc.go": `package centrality
-
-import "sync"
-
-// BadFanout races on a captured map and grows the WaitGroup per
-// iteration: two findings expected.
-func BadFanout() map[int]int {
-	m := make(map[int]int)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m[i] = i
-		}(i)
-	}
-	wg.Wait()
-	return m
-}
-
-// GoodFanout partitions writes by the closure parameter and hoists
-// Add: no findings.
-func GoodFanout() []int {
-	out := make([]int, 4)
-	var wg sync.WaitGroup
-	wg.Add(4)
-	for i := 0; i < 4; i++ {
-		go func(i int) {
-			defer wg.Done()
-			out[i] = i * i
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-`,
-
 		// determinism: global rand positive, threaded rand negative,
 		// unsorted map-range positive, sorted map-range negative.
 		"internal/exp/det.go": `package exp
@@ -276,13 +237,6 @@ func TestMutationSafety(t *testing.T) {
 	reject(t, diags, "mutation-safety", "GoodClone")
 	reject(t, diags, "mutation-safety", "GoodRead")
 	reject(t, diags, "mutation-safety", "AllowedMutate") // suppressed by annotation
-}
-
-func TestConcurrency(t *testing.T) {
-	diags := runFixture(t, fixtureFiles())
-	want(t, diags, "concurrency", "captured map", `"m"`)
-	want(t, diags, "concurrency", "WaitGroup.Add")
-	reject(t, diags, "concurrency", `"out"`) // index-partitioned write is fine
 }
 
 func TestDeterminism(t *testing.T) {

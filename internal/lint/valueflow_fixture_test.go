@@ -5,19 +5,15 @@ import (
 	"testing"
 )
 
-// Fixtures for the value-flow analyzers (span-hygiene, hotpath-alloc,
-// atomic-consistency, nil-receiver). Each fixture package carries
-// flagging and passing cases per rule; the obs stand-in mirrors the
-// real Span API closely enough that the path-suffix-keyed analyzers
-// engage exactly as on the real tree.
+// Fixtures for the value-flow analyzers (span-hygiene, hotpath-alloc).
+// Each fixture package carries flagging and passing cases per rule; the
+// obs stand-in mirrors the real Span API closely enough that the
+// path-suffix-keyed analyzers engage exactly as on the real tree.
 
 func valueFlowFixtureFiles() map[string]string {
 	return map[string]string{
 		"go.mod": "module fixturemod\n\ngo 1.22\n",
 
-		// The obs stand-in doubles as the nil-receiver contract fixture:
-		// End/Int/Str carry the required guard, Float forgot it, Int64
-		// has no named receiver, and Name is outside the nil-safe set.
 		"internal/obs/obs.go": `package obs
 
 import "context"
@@ -40,7 +36,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// End finishes the span: properly guarded, no finding.
+// End finishes the span.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -48,36 +44,12 @@ func (s *Span) End() {
 	s.n = -1
 }
 
-// Int annotates the span: properly guarded, no finding.
+// Int annotates the span.
 func (s *Span) Int(key string, v int) {
 	if s == nil {
 		return
 	}
 	s.n = v
-}
-
-// Str annotates the span: properly guarded, no finding.
-func (s *Span) Str(key, v string) {
-	if s == nil {
-		return
-	}
-	s.name = v
-}
-
-// Float is declared nil-safe but forgot its guard: contract finding.
-func (s *Span) Float(key string, v float64) {
-	s.n = int(v)
-}
-
-// Int64 has no named receiver, so it cannot guard: contract finding.
-func (*Span) Int64(key string, v int64) {}
-
-// Name is deliberately outside the nil-safe set.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 `,
 
@@ -193,50 +165,6 @@ func BadWrapperLeak(ctx context.Context, cond bool) int {
 }
 `,
 
-		// nil-receiver call sites (contract cases live in the obs file).
-		"internal/core/nilrecv.go": `package core
-
-import (
-	"context"
-
-	"fixturemod/internal/obs"
-)
-
-// BadNameOnStartBound calls a non-nil-safe method on a Start-bound
-// span: finding.
-func BadNameOnStartBound(ctx context.Context) string {
-	_, sp := obs.Start(ctx, "x")
-	defer sp.End()
-	return sp.Name()
-}
-
-// BadNameOnZeroVar calls through a var declared without a value:
-// finding.
-func BadNameOnZeroVar() string {
-	var sp *obs.Span
-	return sp.Name()
-}
-
-// AllowedGuardedName nil-checks first; the analysis is deliberately
-// path-insensitive, so the call carries an allow: suppressed.
-func AllowedGuardedName(ctx context.Context) string {
-	_, sp := obs.Start(ctx, "z")
-	defer sp.End()
-	if sp == nil {
-		return ""
-	}
-	//promolint:allow nil-receiver -- fixture: guarded by the nil check above
-	return sp.Name()
-}
-
-// GoodFreshName calls Name on a freshly constructed span that cannot
-// be nil: no finding.
-func GoodFreshName() string {
-	sp := &obs.Span{}
-	return sp.Name()
-}
-`,
-
 		// hotpath-alloc in an error-severity scope.
 		"internal/centrality/hot.go": `package centrality
 
@@ -314,38 +242,6 @@ func HotBoxes(v int64) interface{} {
 func WarmMarked(n int) map[int]bool {
 	return make(map[int]bool, n)
 }
-`,
-
-		// atomic-consistency: raw sync/atomic guards vs plain access.
-		"internal/engine/atomics.go": `package engine
-
-import "sync/atomic"
-
-var hits uint64
-
-// counters is the struct-field variant of the invariant.
-type counters struct {
-	calls uint64
-	other int
-}
-
-// BumpAtomic is the access that marks hits as atomic-guarded.
-func BumpAtomic() { atomic.AddUint64(&hits, 1) }
-
-// ReadAtomic loads through sync/atomic: no finding.
-func ReadAtomic() uint64 { return atomic.LoadUint64(&hits) }
-
-// BadPlainRead reads the guarded package variable plainly: finding.
-func BadPlainRead() uint64 { return hits }
-
-// bumpField marks the calls field as atomic-guarded.
-func (c *counters) bumpField() { atomic.AddUint64(&c.calls, 1) }
-
-// BadPlainFieldWrite writes the guarded field plainly: finding.
-func (c *counters) BadPlainFieldWrite() { c.calls = 0 }
-
-// GoodOther touches an unguarded field freely: no finding.
-func (c *counters) GoodOther() { c.other++ }
 `,
 	}
 }
@@ -457,45 +353,6 @@ func TestHotpathAllocFixture(t *testing.T) {
 	warm := findingFuncs(t, diags, files, "hotpath-alloc", "internal/report/hot.go")
 	if warm["WarmMarked"] != 1 {
 		t.Errorf("hotpath-alloc: want 1 warn finding in WarmMarked, got %d\n%s", warm["WarmMarked"], renderDiags(diags))
-	}
-}
-
-func TestAtomicConsistencyFixture(t *testing.T) {
-	files := valueFlowFixtureFiles()
-	diags := runFixture(t, files)
-	want(t, diags, "atomic-consistency", "variable hits")
-	want(t, diags, "atomic-consistency", "field calls")
-	got := findingFuncs(t, diags, files, "atomic-consistency", "internal/engine/atomics.go")
-	for _, fn := range []string{"ReadAtomic", "BumpAtomic", "bumpField", "GoodOther"} {
-		if got[fn] != 0 {
-			t.Errorf("atomic-consistency flagged %s, which must stay clean\n%s", fn, renderDiags(diags))
-		}
-	}
-}
-
-func TestNilReceiverFixture(t *testing.T) {
-	files := valueFlowFixtureFiles()
-	diags := runFixture(t, files)
-
-	// Contract side, in the defining package.
-	want(t, diags, "nil-receiver", "Float", "must begin with")
-	want(t, diags, "nil-receiver", "Int64", "no named receiver")
-
-	// Call-site side.
-	want(t, diags, "nil-receiver", "Name", "bound from obs.Start")
-	want(t, diags, "nil-receiver", "Name", "declared without a value")
-
-	got := findingFuncs(t, diags, files, "nil-receiver", "internal/core/nilrecv.go")
-	for _, fn := range []string{"AllowedGuardedName", "GoodFreshName"} {
-		if got[fn] != 0 {
-			t.Errorf("nil-receiver flagged %s, which must stay clean\n%s", fn, renderDiags(diags))
-		}
-	}
-	ob := findingFuncs(t, diags, files, "nil-receiver", "internal/obs/obs.go")
-	for _, fn := range []string{"End", "Int", "Str", "Name"} {
-		if ob[fn] != 0 {
-			t.Errorf("nil-receiver flagged (*Span).%s in the defining package, which must stay clean\n%s", fn, renderDiags(diags))
-		}
 	}
 }
 

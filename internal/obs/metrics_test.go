@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,6 +23,41 @@ func TestCounterGauge(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
+	}
+}
+
+// TestCounterConcurrentAddValue races writers against readers on one
+// Counter and one Gauge. Under -race it fails if any access to the
+// metric word is not atomic, such as a plain read in Value.
+func TestCounterConcurrentAddValue(t *testing.T) {
+	const writers, rounds = 4, 1000
+	var c Counter
+	var g Gauge
+	var wg sync.WaitGroup
+	wg.Add(2 * writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				c.Add(2)
+				c.Inc()
+				g.Add(1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				_ = c.Value()
+				_ = g.Value()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Value(), uint64(3*writers*rounds); got != want {
+		t.Fatalf("counter = %d, want %d", got, want)
+	}
+	if got, want := g.Value(), int64(writers*rounds); got != want {
+		t.Fatalf("gauge = %d, want %d", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,11 @@ func TestSpanDisabledIsNil(t *testing.T) {
 	sp.End()
 	if Enabled() {
 		t.Fatal("Enabled() = true with no recorder")
+	}
+	// The calls above are the whole nil-safe surface: a new exported
+	// method must be called on the nil span here before this passes.
+	if n := reflect.TypeOf((*Span)(nil)).NumMethod(); n != 5 {
+		t.Fatalf("*Span has %d exported methods, want 5 (Int, Int64, Str, Float, End)", n)
 	}
 }
 
