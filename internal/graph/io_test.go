@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -210,5 +212,51 @@ func TestSaveEdgeListLabeledFile(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := LoadEdgeListFile("/nonexistent/path/graph.txt"); err == nil {
 		t.Error("loading missing file succeeded")
+	}
+}
+
+// TestLoadedRowsDoNotAlias guards the bulk loader's shared backing
+// array: every adjacency row is a capped window of one slice, so
+// growing a row must reallocate it rather than overwrite the row after
+// it. A random mix of AddEdge and RemoveEdge on neighboring IDs runs on
+// the loaded graph and on referenceReadEdgeList's graph of the same
+// input; after every step both must be equal and well-formed.
+func TestLoadedRowsDoNotAlias(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var sb strings.Builder
+	for i := 0; i < 300; i++ {
+		u := rng.Intn(40)
+		fmt.Fprintf(&sb, "%d %d\n", u, u+1+rng.Intn(3))
+	}
+	in := sb.String()
+	for _, hint := range []int64{0, int64(len(in))} {
+		g, _, err := readEdgeList(strings.NewReader(in), hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := referenceReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 2000; step++ {
+			u := rng.Intn(g.N() - 1)
+			v := u + 1 + rng.Intn(2)
+			if v >= g.N() {
+				v = u + 1
+			}
+			if rng.Intn(3) == 0 {
+				if got, w := g.RemoveEdge(u, v), want.RemoveEdge(u, v); got != w {
+					t.Fatalf("sizeHint %d step %d: RemoveEdge(%d, %d) = %v, reference %v", hint, step, u, v, got, w)
+				}
+			} else if got, w := g.AddEdge(u, v), want.AddEdge(u, v); got != w {
+				t.Fatalf("sizeHint %d step %d: AddEdge(%d, %d) = %v, reference %v", hint, step, u, v, got, w)
+			}
+			if !g.Equal(want) {
+				t.Fatalf("sizeHint %d step %d: loaded graph diverged from the reference", hint, step)
+			}
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatalf("sizeHint %d step %d: %v", hint, step, err)
+			}
+		}
 	}
 }

@@ -104,4 +104,10 @@ go test -race -timeout 1800s ./...
 step "go test -tags promodebug ./... (runtime invariant checks active)"
 go test -tags promodebug ./...
 
+step "fuzz smoke (FuzzReadEdgeList: bulk loader vs reference reader, 20s)"
+# The seed corpus runs in every go test pass above; this spends 20s of
+# mutated inputs on the differential oracle between the bulk edge-list
+# loader and the insertion-based reference reader it replaced.
+go test -run '^$' -fuzz '^FuzzReadEdgeList$' -fuzztime 20s ./internal/graph
+
 echo "OK"
